@@ -1,12 +1,13 @@
 """The arrange operator: maintained, shareable, multiversioned indexed state.
 
 An :class:`Arrangement` owns a collection :class:`~repro.core.trace.Trace`
-plus the *operational index*: a cached snapshot of the collection accumulated
-to the current frontier, hash-partitioned by the arrangement key.  The
-snapshot corresponds to the fully merged + compacted main layer of the
-paper's LSM trace — it is what arrangement-aware joins and reductions probe —
-while the batch list in the trace retains (possibly compacted) historical
-detail for multiversioned readers and imports.
+and nothing else: its arranged state is stored once, as the trace's
+immutable, key-sharded batches (§4.1–4.2).  Readers probe those batches in
+place — a view of the collection at round ``r`` is the union of the batches
+with each update's ``__diff`` read as a multiplicity — so a record's
+multiplicity may be split across several rows (one per batch it was updated
+in), and every consumer sums them.  No consolidated snapshot is rebuilt per
+round: maintenance is the batch seal plus the trace's amortized merges.
 
 Readers access an arrangement through :class:`TraceHandle` (§4.3): each
 handle carries a frontier, the arrangement only compacts distinctions no
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.core.trace import DIFF_COL, MULT_COL, N_SHARDS, T_COL, Trace, materialize
+from repro.core.trace import DIFF_COL, MULT_COL, Trace
 
 _arr_ids = itertools.count()
 
@@ -45,12 +46,6 @@ class TraceHandle:
             raise ValueError("trace handle frontiers may only advance")
         self.frontier = frontier
         self.arrangement._update_compaction()
-
-    def read_at(self, t: int) -> Optional[DataFrame]:
-        """Accumulated collection at ``t`` (must be beyond the handle frontier)."""
-        if t < self.frontier:
-            raise ValueError(f"read_at({t}) below handle frontier {self.frontier}")
-        return self.arrangement.trace.read_at(t)
 
     def drop(self) -> None:
         """Release the handle; the arrangement may compact or be destroyed."""
@@ -82,12 +77,11 @@ class Arrangement:
         self.key_cols = list(key_cols)
         self.trace = Trace(data_cols, key_cols, merge_effort=merge_effort)
         self.handles: List[TraceHandle] = []
-        #: cached snapshot (data_cols + __mult) and the round it reflects
-        self._snap_df: Optional[DataFrame] = None
-        self._snap_time: int = -1
+        #: the last round ingested
+        self.current_time: int = -1
         self._deltas: Dict[int, Optional[DataFrame]] = {}
         #: wall-clock seconds spent maintaining this index (batch seal +
-        #: snapshot roll); the redundant-maintenance cost the paper's Fig. 1b
+        #: merges); the redundant-maintenance cost the paper's Fig. 1b
         #: attributes to unshared configurations.
         self.maintenance_secs: float = 0.0
         self.destroyed = False
@@ -95,47 +89,25 @@ class Arrangement:
     # -- writer API ---------------------------------------------------------
 
     def ingest(self, round_: int, updates: Optional[DataFrame]) -> Optional[DataFrame]:
-        """Seal ``updates`` (times == round_) as the batch for this round and
-        roll the operational snapshot forward.
+        """Seal ``updates`` (times == round_) as the batch for this round.
 
         Returns the sealed (cached, materialized) batch DataFrame, or None if
         the round was empty.  Sealing materializes the delta *before* any
         upstream cached state it lazily references is unpersisted, cutting
         the cross-round lineage chain.
         """
-        if round_ <= self._snap_time:
+        if round_ <= self.current_time:
             raise ValueError(f"arrangement {self.name} already ingested round {round_}")
         t0 = _time.perf_counter()
+        self._update_compaction()
         batch = self.trace.seal(updates, upper=round_ + 1)
-        if batch is not None:
-            self._roll_snapshot(round_, batch.df)
-        else:
-            self._snap_time = round_
+        self.current_time = round_
         sealed = batch.df if batch is not None else None
         self._deltas[round_] = sealed
         for r in [r for r in self._deltas if r < round_ - 1]:
             del self._deltas[r]
         self.maintenance_secs += _time.perf_counter() - t0
         return sealed
-
-    def _roll_snapshot(self, round_: int, updates: DataFrame) -> None:
-        as_updates = (
-            self._snap_df.withColumnRenamed(MULT_COL, DIFF_COL)
-            if self._snap_df is not None
-            else None
-        )
-        delta = updates.select(*self.data_cols, F.col(DIFF_COL))
-        merged = as_updates.unionByName(delta) if as_updates is not None else delta
-        new_snap = materialize(
-            merged.groupBy(*self.data_cols)
-            .agg(F.sum(DIFF_COL).alias(MULT_COL))
-            .filter(F.col(MULT_COL) != 0)
-            .repartition(N_SHARDS, *[F.col(c) for c in self.key_cols])
-        )
-        self.snapshot_rows = new_snap.count()
-        if self._snap_df is not None:
-            self._snap_df.unpersist(blocking=False)
-        self._snap_df, self._snap_time = new_snap, round_
 
     # -- reader API ---------------------------------------------------------
 
@@ -147,34 +119,35 @@ class Arrangement:
     def snapshot(self, round_: int) -> Optional[DataFrame]:
         """The collection accumulated to ``round_`` (data_cols + __mult).
 
-        Fast path when ``round_`` equals the current snapshot time (the common
-        case in synchronous rounds); otherwise a multiversioned read through
-        the trace.
+        The union of the trace's batches, read in place: a record's
+        multiplicity may be split across rows, which consumers sum.  Times are
+        filtered only when ``round_`` is behind the last ingested round.
         """
-        if round_ == self._snap_time:
-            return self._snap_df
-        return self.trace.read_at(round_)
+        ups = self.trace.updates(upto=round_ if round_ < self.current_time else None)
+        return None if ups is None else ups.select(
+            *self.data_cols, F.col(DIFF_COL).alias(MULT_COL)
+        )
 
     def delta(self, round_: int) -> Optional[DataFrame]:
-        """The updates ingested at exactly ``round_`` (None if empty)."""
-        if round_ in self._deltas:
-            return self._deltas[round_]
-        return self.trace.updates_in(round_, round_ + 1)
+        """The updates ingested at exactly ``round_`` (None if empty).
 
-    @property
-    def current_time(self) -> int:
-        return self._snap_time
-
-    def has_state(self) -> bool:
-        """Whether the arrangement holds any accumulated records."""
-        return self._snap_df is not None and self.snapshot_rows > 0
+        Only the last two rounds are retained; older rounds raise, since
+        compaction may have rewritten their times in the trace.
+        """
+        if round_ not in self._deltas:
+            raise ValueError(
+                f"arrangement {self.name} no longer retains the delta of round {round_}"
+            )
+        return self._deltas[round_]
 
     # -- lifecycle ----------------------------------------------------------
 
     def _update_compaction(self) -> None:
+        """Advance the compaction frontier to the meet of the live handles,
+        or, with none live, to the last ingested round: an import reads only
+        the current round, so no reader needs older distinctions."""
         live = [h.frontier for h in self.handles if not h.dropped]
-        if live:
-            self.trace.advance_compaction_frontier(min(live))
+        self.trace.advance_compaction_frontier(min(live) if live else self.current_time)
 
     def _drop_handle(self, handle: TraceHandle) -> None:
         self.handles = [h for h in self.handles if h is not handle]
@@ -184,12 +157,7 @@ class Arrangement:
         return len([h for h in self.handles if not h.dropped])
 
     def estimated_bytes(self) -> int:
-        snap = (
-            getattr(self, "snapshot_rows", 0) * len(self.data_cols) * 16
-            if self._snap_df is not None
-            else 0
-        )
-        return self.trace.estimated_bytes() + snap
+        return self.trace.estimated_bytes()
 
     def destroy(self) -> None:
         """Unpersist every cached structure (private arrangements at retire)."""
@@ -197,6 +165,3 @@ class Arrangement:
             return
         self.destroyed = True
         self.trace.unpersist()
-        if self._snap_df is not None:
-            self._snap_df.unpersist(blocking=False)
-            self._snap_df = None

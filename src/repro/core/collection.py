@@ -8,7 +8,8 @@ evaluate once.
 
 A :class:`Reader` is the *arranged* view of a collection: it additionally
 offers :meth:`Reader.snap`, the collection accumulated to round ``r``
-(``data… + __mult``), backed by a shared or private
+(``data… + __mult``), and :meth:`Reader.snap_before`, the same view before
+round ``r``'s delta, backed by a shared or private
 :class:`~repro.core.arrange.Arrangement`.  Key-preserving stateless operators
 (§5.1: ``filter``, column maps that keep the key) are implemented as *wrappers
 around readers* that filter/transform both the delta stream and the snapshot
@@ -149,6 +150,10 @@ class Reader:
 
     The common protocol of arrangement readers (§4.3's trace handles as seen
     by operators).  ``key_cols`` documents the arrangement's index key.
+
+    Snapshots are read in place from the arrangement's batches, so one
+    record's multiplicity may be split across several rows (even rows whose
+    ``__mult`` cancel); consumers sum ``__mult`` over equal records.
     """
 
     data_cols: List[str]
@@ -158,6 +163,12 @@ class Reader:
         raise NotImplementedError
 
     def snap(self, round_: int) -> Optional[DataFrame]:
+        """The collection accumulated to ``round_`` (``data… + __mult``)."""
+        raise NotImplementedError
+
+    def snap_before(self, round_: int) -> Optional[DataFrame]:
+        """This reader's view before ``round_``'s delta: ``snap(round_ - 1)``,
+        or nothing on the round the reader imported its history."""
         raise NotImplementedError
 
     def retire(self) -> None:
@@ -211,12 +222,16 @@ class _FilteredReader(Reader):
         self.key_cols = list(base.key_cols)
 
     def delta(self, round_: int) -> Optional[DataFrame]:
-        d = self.base.delta(round_)
-        return None if d is None else d.filter(self.cond)
+        return self._view(self.base.delta(round_))
 
     def snap(self, round_: int) -> Optional[DataFrame]:
-        s = self.base.snap(round_)
-        return None if s is None else s.filter(self.cond)
+        return self._view(self.base.snap(round_))
+
+    def snap_before(self, round_: int) -> Optional[DataFrame]:
+        return self._view(self.base.snap_before(round_))
+
+    def _view(self, df: Optional[DataFrame]) -> Optional[DataFrame]:
+        return None if df is None else df.filter(self.cond)
 
     def retire(self) -> None:
         self.base.retire()
@@ -238,7 +253,12 @@ class _MappedReader(Reader):
         return None if d is None else self.fn(d).select(*self.data_cols, T_COL, DIFF_COL)
 
     def snap(self, round_: int) -> Optional[DataFrame]:
-        s = self.base.snap(round_)
+        return self._view(self.base.snap(round_))
+
+    def snap_before(self, round_: int) -> Optional[DataFrame]:
+        return self._view(self.base.snap_before(round_))
+
+    def _view(self, s: Optional[DataFrame]) -> Optional[DataFrame]:
         return None if s is None else self.fn(s).select(*self.data_cols, MULT_COL)
 
     def retire(self) -> None:

@@ -29,10 +29,7 @@ from typing import Callable, Sequence
 from pyspark import StorageLevel
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.core.trace import N_SHARDS
-
-#: cut lineage with localCheckpoint every this many iterations
-_CHECKPOINT_EVERY = 8
+from repro.core.trace import N_SHARDS, materialize
 
 
 class StaticIndex:
@@ -55,12 +52,6 @@ class StaticIndex:
         self.df.unpersist(blocking=False)
 
 
-def _persist(df: DataFrame) -> DataFrame:
-    # localCheckpoint (vs persist+count) also truncates the logical plan,
-    # keeping Catalyst analysis O(1) per iteration — see trace.materialize.
-    return df.localCheckpoint(eager=True)
-
-
 def semi_naive(
     spark: SparkSession,
     init: DataFrame,
@@ -76,19 +67,15 @@ def semi_naive(
     Returns the cached fixpoint with columns ``key_cols``.
     """
     cols = list(key_cols)
-    total = _persist(init.select(*cols).distinct())
+    total = materialize(init.select(*cols).distinct())[0]
     delta = total
-    for it in range(max_iters):
+    for _ in range(max_iters):
         cand = expand(delta).select(*cols).distinct()
-        new = _persist(cand.join(total, cols, "left_anti"))
-        if new.count() == 0:
+        new, rows = materialize(cand.join(total, cols, "left_anti"))
+        if rows == 0:
             new.unpersist(blocking=False)
             return total
-        nxt = total.unionByName(new)
-        if (it + 1) % _CHECKPOINT_EVERY == 0:
-            nxt = nxt.localCheckpoint(eager=True)
-        else:
-            nxt = _persist(nxt)
+        nxt = materialize(total.unionByName(new))[0]
         total.unpersist(blocking=False)
         delta, total = new, nxt
     raise RuntimeError(f"semi_naive did not converge within {max_iters} iterations")
@@ -108,28 +95,24 @@ def fixpoint_min(
     keeps the minimum value per key and iterates on keys whose minimum
     improved.  Returns the cached fixpoint.
     """
-    best = _persist(init.groupBy(key_col).agg(F.min(val_col).alias(val_col)))
+    best = materialize(init.groupBy(key_col).agg(F.min(val_col).alias(val_col)))[0]
     delta = best
-    for it in range(max_iters):
+    for _ in range(max_iters):
         cand = expand(delta).groupBy(key_col).agg(F.min(val_col).alias(val_col))
-        improved = _persist(
+        improved, rows = materialize(
             cand.alias("c")
             .join(best.alias("b"), key_col, "left")
             .where(F.col(f"b.{val_col}").isNull() | (F.col(f"c.{val_col}") < F.col(f"b.{val_col}")))
             .select(key_col, f"c.{val_col}")
         )
-        if improved.count() == 0:
+        if rows == 0:
             improved.unpersist(blocking=False)
             return best
-        nxt = (
+        nxt = materialize(
             best.unionByName(improved)
             .groupBy(key_col)
             .agg(F.min(val_col).alias(val_col))
-        )
-        if (it + 1) % _CHECKPOINT_EVERY == 0:
-            nxt = nxt.localCheckpoint(eager=True)
-        else:
-            nxt = _persist(nxt)
+        )[0]
         best.unpersist(blocking=False)
         delta, best = improved, nxt
     raise RuntimeError(f"fixpoint_min did not converge within {max_iters} iterations")

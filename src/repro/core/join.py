@@ -1,19 +1,22 @@
 """Arrangement-aware join (§5.3.1).
 
 The join operator is bilinear; with both inputs arranged, the output delta at
-round ``r`` is computed from the inputs' deltas and accumulated snapshots:
+round ``r`` takes two terms:
 
-    d(A ⋈ B) = dA ⋈ B(r)  +  A(r) ⋈ dB  −  dA ⋈ dB
+    d(A ⋈ B) = dA ⋈ B(r)  +  A(r-1) ⋈ dB
 
-(using the *current* snapshots ``A(r) = A(r-1) + dA`` so the operator needs
-only the state its arranged inputs already maintain this round).  Deltas are
-explicitly broadcast: this is the Spark rendition of the paper's "move the
-(small) update batch to the pre-sharded arranged state" — the arranged side is
-never re-shuffled or re-indexed, which is what makes installing a new query
-against existing arrangements cheap (Fig. 1a) and per-update work track the
-delta rather than the state (Fig. 7f).  Unlike the paper's alternating-seek
-cursors, probing a cached Spark partition is a scan, not a log-time seek; see
-DESIGN.md §2.3.
+``B(r)`` is the right input's view including this round and ``A(r-1)`` the
+left input's view before it (empty on the round a reader imports its history,
+whose delta already carries everything), so a fresh query's first result is a
+single scan of the arranged side.  Both views are the arrangements' batches
+read in place: multiplicities split across batches multiply term by term and
+consolidate downstream.  Deltas are explicitly broadcast: this is the Spark
+rendition of the paper's "move the (small) update batch to the pre-sharded
+arranged state" — the arranged side is never re-shuffled or re-indexed, which
+is what makes installing a new query against existing arrangements cheap
+(Fig. 1a) and per-update work track the delta rather than the state (Fig. 7f).
+Unlike the paper's alternating-seek cursors, probing a cached Spark partition
+is a scan, not a log-time seek; see DESIGN.md §2.3.
 
 A cross join (``on=([], [])``) gives the scalar-comparison idiom used by
 TPC-H Q11/Q15/Q22: when the scalar side changes, bilinearity retracts and
@@ -83,19 +86,13 @@ class JoinNode(Stream):
                 )
                 terms.append(t.select(*out, (F.col(_DL) * F.col(_MR)).alias(DIFF_COL)))
         if dr is not None:
-            sl = self.left.snap(round_)
+            sl = self.left.snap_before(round_)
             if sl is not None:
                 t = self._join(
                     sl.withColumnRenamed(MULT_COL, _ML),
                     F.broadcast(dr.withColumnRenamed(DIFF_COL, _DR).drop(T_COL)),
                 )
                 terms.append(t.select(*out, (F.col(_ML) * F.col(_DR)).alias(DIFF_COL)))
-        if dl is not None and dr is not None:
-            t = self._join(
-                F.broadcast(dl.withColumnRenamed(DIFF_COL, _DL).drop(T_COL)),
-                dr.withColumnRenamed(DIFF_COL, _DR).drop(T_COL),
-            )
-            terms.append(t.select(*out, (-F.col(_DL) * F.col(_DR)).alias(DIFF_COL)))
         if not terms:
             return None
         delta = terms[0]

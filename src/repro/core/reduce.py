@@ -2,8 +2,9 @@
 
 Per round, the operator identifies the keys touched by its input delta,
 re-forms the input for exactly those keys from the input arrangement's
-snapshot, applies the reduction, and subtracts the previously produced output
-(read from its own **output arrangement**) to emit corrective updates —
+batches (summing each record's multiplicity, which the batches may split
+across rows), applies the reduction, and subtracts the previously produced
+output (read from its own **output arrangement**) to emit corrective updates —
 retraction/assertion pairs as negative/positive diffs.
 
 The output arrangement serves double duty, as in the paper: it lets the
@@ -161,8 +162,16 @@ class ReduceNode(Stream, Reader):
         cur = snap_in
         if cur is not None and changed is not None:
             cur = cur.join(changed, keys, "left_semi")
+        if cur is not None:
+            # Net multiplicities: min/max, distinct and pandas reducers must
+            # not see a record whose rows cancel across batches.
+            cur = (
+                cur.groupBy(*self.in_reader.data_cols)
+                .agg(F.sum(MULT_COL).alias(MULT_COL))
+                .filter(F.col(MULT_COL) != 0)
+            )
         new_out = self.agg.apply(cur, keys) if cur is not None else None
-        old = self.out_arr.snapshot(round_ - 1) if self.out_arr.current_time >= 0 else None
+        old = self.out_arr.snapshot(round_ - 1)
         if old is not None and changed is not None:
             old = old.join(changed, keys, "left_semi")
         terms: List[DataFrame] = []
@@ -186,7 +195,7 @@ class ReduceNode(Stream, Reader):
             .withColumn(T_COL, F.lit(round_))
         )
         # ingest materializes the delta (and cuts its lineage) *before* the
-        # old output snapshot it references is unpersisted.
+        # output batches it reads are merged away.
         return self.out_arr.ingest(round_, delta)
 
     # -- Reader protocol: downstream joins may consume the output index ------
@@ -200,6 +209,10 @@ class ReduceNode(Stream, Reader):
     def snap(self, round_: int) -> Optional[DataFrame]:
         self.delta(round_)
         return self.out_arr.snapshot(round_)
+
+    def snap_before(self, round_: int) -> Optional[DataFrame]:
+        self.delta(round_)
+        return self.out_arr.snapshot(round_ - 1)
 
     def retire(self) -> None:
         self.in_reader.retire()

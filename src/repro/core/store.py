@@ -4,9 +4,9 @@
 source stream once per round and feeds the wrapped
 :class:`~repro.core.arrange.Arrangement`.  :class:`ArrangementReader` is the
 per-query import of an arrangement (§4.3's ``import``): on its first pull it
-emits the arrangement's full consolidated history as one large batch — so a
-freshly installed query immediately reflects all prior events — and normal
-per-round deltas afterwards.
+emits the trace's batches as they stand, stamped with the current round — so a
+freshly installed query immediately reflects all prior events, with no data
+movement or consolidation — and normal per-round deltas afterwards.
 
 :class:`ArrangementStore` decides whether state is shared:
 
@@ -27,7 +27,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.core.arrange import Arrangement, TraceHandle
 from repro.core.collection import InputStream, Reader, Stream
-from repro.core.trace import DIFF_COL, MULT_COL, T_COL
+from repro.core.trace import T_COL
 
 
 class ArrangeNode:
@@ -54,8 +54,10 @@ class ArrangeNode:
             # the install-time cost shared arrangements avoid.
             self.arrangement.ingest(created_round, bootstrap)
         elif created_round > 0:
-            # No history: just advance the empty arrangement to "now".
-            self.arrangement.ingest(created_round, None)
+            # No history: start the empty arrangement just before "now", so
+            # the first pull ingests the source's delta for this round — for
+            # a derived stream, what its readers import at install.
+            self.arrangement.ingest(created_round - 1, None)
 
     def advance(self, round_: int) -> Optional[DataFrame]:
         """Ingest the source's round-``round_`` delta (idempotent per round)."""
@@ -84,32 +86,31 @@ class ArrangementReader(Reader):
         self.handle: TraceHandle = node.arrangement.new_handle()
         self.data_cols = list(node.arrangement.data_cols)
         self.key_cols = list(node.arrangement.key_cols)
-        self._imported = False
-        self._import_memo: Tuple[int, Optional[DataFrame]] | None = None
+        #: the round of this reader's import, and the import delta itself
+        self._import_round: Optional[int] = None
+        self._import: Optional[DataFrame] = None
 
     def delta(self, round_: int) -> Optional[DataFrame]:
         d = self.node.advance(round_)
-        if not self._imported:
-            # §4.3 import: the first batch a new reader sees is the full
-            # consolidated history up to *and including* this round.
-            self._imported = True
-            snap = self.node.snapshot(round_)
-            out = (
-                None
-                if snap is None
-                else snap.withColumnRenamed(MULT_COL, DIFF_COL).withColumn(
-                    T_COL, F.lit(round_)
-                )
-            )
-            self._import_memo = (round_, out)
-            return out
-        if self._import_memo is not None and self._import_memo[0] == round_:
-            return self._import_memo[1]
+        if self._import_round is None:
+            # §4.3 import: the first batch a new reader sees is the whole
+            # trace up to *and including* this round, read in place.
+            self._import_round = round_
+            ups = self.node.arrangement.trace.updates()
+            self._import = None if ups is None else ups.withColumn(T_COL, F.lit(round_))
+        if self._import_round == round_:
+            return self._import
         self.handle.advance(max(self.handle.frontier, round_ - 1))
         return d
 
     def snap(self, round_: int) -> Optional[DataFrame]:
         return self.node.snapshot(round_)
+
+    def snap_before(self, round_: int) -> Optional[DataFrame]:
+        self.delta(round_)
+        if self._import_round == round_:
+            return None  # the import delta carries everything up to round_
+        return self.node.arrangement.snapshot(round_ - 1)
 
     def retire(self) -> None:
         self.handle.drop()

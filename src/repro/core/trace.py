@@ -29,11 +29,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from pyspark.sql import DataFrame, functions as F
-
-from repro.core.lattice import Frontier, int_time
+from pyspark.sql import DataFrame, Observation, functions as F
 
 #: reserved metadata column names on update DataFrames
 T_COL = "__t"
@@ -50,8 +48,8 @@ _EST_BYTES_PER_CELL = 16
 _batch_ids = itertools.count()
 
 
-def materialize(df: DataFrame) -> DataFrame:
-    """Materialize a DataFrame into executor memory and truncate its plan.
+def materialize(df: DataFrame) -> Tuple[DataFrame, int]:
+    """Materialize a DataFrame into executor memory, truncate its plan, count it.
 
     ``localCheckpoint(eager=True)`` both caches the rows and replaces the
     logical plan with a scan of the checkpointed blocks.  Plain
@@ -59,8 +57,13 @@ def materialize(df: DataFrame) -> DataFrame:
     embeds the previous rounds' plans by value, so Catalyst analysis time
     grows without bound even though execution hits the cache.  Blocks are
     reclaimed by the ContextCleaner once the DataFrame is unreachable.
+
+    The row count is observed inside the checkpoint job itself, so it costs
+    no second Spark action.  Returns the checkpointed frame and its rows.
     """
-    return df.localCheckpoint(eager=True)
+    obs = Observation()
+    out = df.observe(obs, F.count(F.lit(1)).alias("rows")).localCheckpoint(eager=True)
+    return out, obs.get["rows"]
 
 
 @dataclass
@@ -137,8 +140,7 @@ class Trace:
         if updates is None:
             return None
         cols = self.data_cols + [T_COL, DIFF_COL]
-        df = self._consolidate(updates.select(*cols))
-        rows = df.count()
+        df, rows = self._consolidate(updates.select(*cols))
         if rows == 0:
             df.unpersist(blocking=False)
             return None
@@ -175,8 +177,7 @@ class Trace:
         a = self.batches.pop()
         b = self.batches.pop()
         lower, upper = min(a.lower, b.lower), max(a.upper, b.upper)
-        merged = self._consolidate(a.df.unionByName(b.df))
-        rows = merged.count()
+        merged, rows = self._consolidate(a.df.unionByName(b.df))
         self._retired.extend((a, b))
         self.merge_count += 1
         if rows:
@@ -188,21 +189,27 @@ class Trace:
             if self.batches:
                 self.batches[-1].upper = max(self.batches[-1].upper, upper)
 
-    def _consolidate(self, df: DataFrame) -> DataFrame:
+    def _consolidate(self, df: DataFrame) -> Tuple[DataFrame, int]:
         """Coalesce updates at times indistinguishable as of the frontier.
 
         For the 1-d integer lattice and single-element frontier ``{f}``,
         Appendix A's ``rep_F(t) = glb_f lub(t, f)`` is simply ``max(t, f)``;
         mapping times through it and re-summing diffs is exactly the paper's
         consolidation step, and cancelled updates (net diff 0) are dropped.
+
+        Sharding by key *before* grouping lets one exchange serve both: hash
+        partitioning on the key already clusters the grouping columns, which
+        contain it.  A keyless trace shards by all its data columns instead.
+        Returns the materialized batch frame and its row count.
         """
         f = self.compaction_frontier
         adj = df.withColumn(T_COL, F.greatest(F.col(T_COL), F.lit(f)))
+        shard_cols = self.key_cols or self.data_cols
         return materialize(
-            adj.groupBy(*self.data_cols, T_COL)
+            adj.repartition(N_SHARDS, *[F.col(c) for c in shard_cols])
+            .groupBy(*self.data_cols, T_COL)
             .agg(F.sum(DIFF_COL).alias(DIFF_COL))
             .filter(F.col(DIFF_COL) != 0)
-            .repartition(N_SHARDS, *[F.col(c) for c in self.key_cols])
         )
 
     def advance_compaction_frontier(self, frontier: int) -> None:
@@ -215,32 +222,32 @@ class Trace:
 
     # -- reading -----------------------------------------------------------
 
-    def updates(self) -> Optional[DataFrame]:
-        """Union of all batches (the full update history, maybe compacted)."""
+    def updates(self, upto: Optional[int] = None) -> Optional[DataFrame]:
+        """Union of all batches (the full update history, maybe compacted).
+
+        With ``upto``, only the updates at times ``<= upto``: correct only
+        for ``upto`` beyond the compaction frontier — the same contract a
+        trace handle provides in §4.3.
+        """
+        if upto is not None and upto < self.compaction_frontier:
+            raise ValueError(
+                f"read at {upto} below compaction frontier {self.compaction_frontier}"
+            )
         if not self.batches:
             return None
         dfs = [b.df for b in self.batches]
         out = dfs[0]
         for d in dfs[1:]:
             out = out.unionByName(d)
-        return out
+        return out if upto is None else out.filter(F.col(T_COL) <= upto)
 
     def read_at(self, t: int) -> Optional[DataFrame]:
-        """The collection accumulated to time ``t``: ``data_cols + __mult``.
-
-        Only correct for ``t`` beyond the compaction frontier — the same
-        contract a trace handle provides in §4.3.
-        """
-        if t < self.compaction_frontier:
-            raise ValueError(
-                f"read_at({t}) below compaction frontier {self.compaction_frontier}"
-            )
-        ups = self.updates()
+        """The collection accumulated to time ``t``: ``data_cols + __mult``."""
+        ups = self.updates(upto=t)
         if ups is None:
             return None
         return (
-            ups.filter(F.col(T_COL) <= t)
-            .groupBy(*self.data_cols)
+            ups.groupBy(*self.data_cols)
             .agg(F.sum(DIFF_COL).alias(MULT_COL))
             .filter(F.col(MULT_COL) != 0)
         )
@@ -265,7 +272,3 @@ class Trace:
             b.unpersist()
         self.batches.clear()
         self._retired.clear()
-
-    def frontiers(self) -> Frontier:
-        """This trace's upper frontier as a lattice frontier (for tests)."""
-        return Frontier([int_time(self.upper)])
